@@ -3,8 +3,8 @@
 /// governor.
 ///
 /// The evaluation stack has no safe preemption point except between units
-/// of work, so cancellation is cooperative: every operator loop and every
-/// ParallelFor chunk boundary polls an ExecGovernor, which folds together
+/// of work, so cancellation is cooperative: every operator loop polls an
+/// ExecGovernor, which folds together
 /// the three ways a governed Apply can be stopped —
 ///
 ///   * Deadline     — wall-clock budget for the whole Apply;
@@ -20,10 +20,9 @@
 /// governor pointer, so the hot path pays one pointer compare and nothing
 /// else.
 ///
-/// Observed cancellation latency is bounded by one chunk boundary: a
-/// sequential operator polls every kGovernorStride rows, a parallel one at
-/// every chunk claim, and a tripped governor makes the thread pool drain
-/// remaining chunks without running them.
+/// Observed cancellation latency is bounded by one poll stride: operator
+/// loops poll every kGovernorStride rows, and pipeline steps, plan nodes and
+/// dense kernels poll at entry.
 
 #ifndef DYNFO_CORE_CANCEL_H_
 #define DYNFO_CORE_CANCEL_H_
@@ -84,10 +83,10 @@ class CancelToken {
   std::atomic<bool> cancelled_{false};
 };
 
-/// The per-Apply stop authority polled at chunk boundaries. Constructed on
-/// the Apply stack, shared by reference with every operator through
-/// EvalContext and with the thread pool through ParallelOptions; all methods
-/// are safe to call concurrently.
+/// The per-Apply stop authority polled by operator loops. Constructed on the
+/// Apply stack and shared by reference with every operator through
+/// EvalContext (or DenseExecContext); all methods are safe to call
+/// concurrently (a CancelToken may be tripped from another thread).
 class ExecGovernor {
  public:
   ExecGovernor() = default;
@@ -117,16 +116,16 @@ class ExecGovernor {
   bool ChargeRows(uint64_t rows, uint64_t row_bytes) const;
 
   /// Total ShouldStop polls so far — the cancellation-latency yardstick:
-  /// after a trip at poll k, the counter stays within a few threads of k.
+  /// after a trip at poll k, the counter stays close to k.
   uint64_t checks() const { return checks_.load(std::memory_order_relaxed); }
 
   /// Test/chaos knob: deterministically trips kCancelled at the `k`-th
   /// ShouldStop poll (1-based; 0 disarms). This is how the atomicity sweep
-  /// cancels at every successive chunk boundary without timing races.
+  /// cancels at every successive poll boundary without timing races.
   void TripAtCheck(uint64_t k) { trip_at_check_ = k; }
 
-  /// Chaos knob (worker-stall injector): the `k`-th poll sleeps `millis`
-  /// before returning, modeling a descheduled worker. Combined with a tight
+  /// Chaos knob (stall injector): the `k`-th poll sleeps `millis`
+  /// before returning, modeling a descheduled thread. Combined with a tight
   /// deadline it forces the timeout path at a seeded, reproducible point.
   void StallAtCheck(uint64_t k, int millis) {
     stall_at_check_ = k;

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "core/text.h"
-#include "core/thread_pool.h"
 #include "fo/eval_naive.h"
 #include "fo/normalize.h"
 #include "relational/serialize.h"
@@ -353,7 +352,6 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
   ctx.num_params = num_params;
   ctx.governor = governor;
   ctx.stats = algebra_.live_stats();
-  ctx.parallel = {options_.num_threads, options_.parallel_grain, governor};
 
   // Evaluate-then-commit: every program reads the old planes and writes an
   // exec-local result (synchronous semantics), so a governor stop aborts
@@ -623,8 +621,7 @@ relational::RequestSequence Engine::MaterializeDefinableChange(
   // Canonical order: sorted tuples, so the expansion — and therefore the
   // journal and every downstream state — is identical whichever evaluator
   // or backend materialized the set.
-  std::vector<relational::Tuple> tuples(result.begin(), result.end());
-  std::sort(tuples.begin(), tuples.end());
+  const std::vector<relational::Tuple> tuples = result.SortedTuples();
   relational::RequestSequence out;
   out.reserve(tuples.size());
   for (const relational::Tuple& t : tuples) {
@@ -673,7 +670,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   }
 
   // Governed (or report-carrying) dense path: the same kernels with the
-  // governor polled at op and chunk boundaries. An abort mutates nothing.
+  // governor polled at op and row-stride boundaries. An abort mutates nothing.
   if (!tier.has_value() && !dense_rules_.empty()) {
     switch (TryDenseApply(request, governor)) {
       case DenseApplyOutcome::kApplied:
@@ -695,7 +692,6 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   ctx.governor = governor;
 
   const RequestRules* rules = program_->RulesFor(request.kind, request.target);
-  const auto phase_start = std::chrono::steady_clock::now();
   auto seconds_since = [](std::chrono::steady_clock::time_point start) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
         .count();
@@ -798,8 +794,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
 
   // Main updates: evaluate everything against the pre-request state (plus
   // lets), then commit atomically. Synchronous semantics makes the rules
-  // independent — each reads only the old structure — so they evaluate
-  // concurrently when num_threads > 1 (the paper's rule-level parallelism).
+  // independent — each reads only the old structure.
   struct Staged {
     const UpdateRule* rule = nullptr;
     const DeltaPlan* plan = nullptr;
@@ -823,7 +818,6 @@ core::Status Engine::ApplyCore(const relational::Request& request,
   std::vector<Staged> staged;
   std::set<std::string> targeted;
   if (rules != nullptr) {
-    // Delta plans are cached in a map: compute them before fanning out.
     for (const UpdateRule& rule : rules->updates) {
       DYNFO_CHECK(targeted.insert(rule.target).second)
           << "two update rules target " << rule.target << " in one request";
@@ -912,17 +906,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     s.seconds = seconds_since(rule_start);
   };
 
-  bool parallel_batch = false;
-  if (options_.num_threads > 1 && staged.size() > 1) {
-    core::TaskGroup group(&core::ThreadPool::Global());
-    for (Staged& s : staged) {
-      group.Add([&evaluate_one, &s] { evaluate_one(s); });
-    }
-    group.RunAndWait(options_.num_threads);
-    parallel_batch = true;
-  } else {
-    for (Staged& s : staged) evaluate_one(s);
-  }
+  for (Staged& s : staged) evaluate_one(s);
 
   // The abort point: every result so far is staged (or rolled back below);
   // nothing past this line can fail, so commit is all-or-nothing.
@@ -930,10 +914,9 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     return abort_with(governor->status());
   }
 
-  // Work accounting happens after the join so counters never race, and
-  // after the abort point so a cancelled Apply leaves stats untouched.
+  // Work accounting happens after the abort point so a cancelled Apply
+  // leaves stats untouched.
   ++stats_.requests;
-  if (parallel_batch) ++stats_.parallel_update_batches;
   for (const auto& [target, elapsed] : let_seconds) {
     stats_.rule_seconds[target] += elapsed;
   }
@@ -966,7 +949,6 @@ core::Status Engine::ApplyCore(const relational::Request& request,
       stats_.tuples_inserted += s.staged_inserted;
     }
   }
-  stats_.update_wall_seconds += seconds_since(phase_start);
 
   // Commit.
   const auto commit_start = std::chrono::steady_clock::now();
@@ -1189,7 +1171,6 @@ bool Engine::QueryBool(std::vector<relational::Element> params) const {
     ctx.params = pbuf;
     ctx.num_params = static_cast<int>(params.size());
     ctx.stats = algebra_.live_stats();
-    ctx.parallel = {options_.num_threads, options_.parallel_grain, nullptr};
     fo::DenseResult result;
     if (fo::ExecuteDenseProgram(*dense_query_, ctx, &result)) return result.bit;
   }

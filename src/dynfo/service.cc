@@ -21,12 +21,10 @@ using relational::Element;
 using relational::Request;
 
 /// Read-path evaluation options for a tier: the ladder's first three rungs
-/// expressed as plan/index gates. Readers run single-threaded — the service
-/// gets its parallelism from concurrent sessions, not from fanning one
-/// query out.
+/// expressed as plan/index gates. The service gets its parallelism from
+/// concurrent sessions.
 fo::EvalOptions ReadOptionsFor(ExecTier tier) {
   fo::EvalOptions options;
-  options.num_threads = 1;
   switch (tier) {
     case ExecTier::kCompiledIndexed:
       options.use_compiled_plans = true;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/cancel.h"
-#include "core/thread_pool.h"
 #include "fo/eval_naive.h"
 
 namespace dynfo::fo {
@@ -39,13 +38,6 @@ Env EnvFromRow(const std::vector<std::string>& columns, const Row& row) {
   Env env;
   for (size_t i = 0; i < columns.size(); ++i) env.Push(columns[i], row[i]);
   return env;
-}
-
-std::vector<const Row*> GatherRows(const RowSet& rows) {
-  std::vector<const Row*> out;
-  out.reserve(rows.size());
-  for (const Row& row : rows) out.push_back(&row);
-  return out;
 }
 
 /// Strided governor poll for sequential loops (see plan_exec.cc twin).
@@ -281,7 +273,7 @@ NamedRelation AlgebraEvaluator::SatNot(const Formula& formula,
   const FormulaPtr& inner = formula.children()[0];
   NamedRelation sat = SatClassic(inner, ctx);
   ++stats_.complements;
-  return sat.ComplementWithin(ctx.universe_size(), ctx.Policy());
+  return sat.ComplementWithin(ctx.universe_size(), ctx.governor);
 }
 
 NamedRelation AlgebraEvaluator::FilterRows(const NamedRelation& acc,
@@ -290,38 +282,13 @@ NamedRelation AlgebraEvaluator::FilterRows(const NamedRelation& acc,
   NamedRelation out(acc.columns());
   stats_.filter_row_evals.fetch_add(acc.size(), std::memory_order_relaxed);
 
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const core::ParallelOptions parallel = ctx.Policy();
-  const size_t num_chunks = pool.PlanChunks(0, acc.size(), parallel);
-  if (num_chunks <= 1) {
-    size_t polls = 0;
-    for (const Row& row : acc.rows()) {
-      if (StridedStop(ctx, &polls)) break;
-      Env env = EnvFromRow(acc.columns(), row);
-      if (NaiveEvaluator::Holds(*conjunct, ctx, &env)) out.AddRow(row);
-    }
-    ctx.Charge(out.size(), out.width());
-    return out;
+  size_t polls = 0;
+  for (const Row& row : acc.rows()) {
+    if (StridedStop(ctx, &polls)) break;
+    Env env = EnvFromRow(acc.columns(), row);
+    if (NaiveEvaluator::Holds(*conjunct, ctx, &env)) out.AddRow(row);
   }
-
-  // Each row is checked independently against the immutable structure;
-  // per-chunk keep-lists merge into the result set afterwards.
-  std::vector<const Row*> rows = GatherRows(acc.rows());
-  std::vector<std::vector<const Row*>> buffers(num_chunks);
-  pool.ParallelFor(0, rows.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<const Row*>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       Env env = EnvFromRow(acc.columns(), *rows[i]);
-                       if (NaiveEvaluator::Holds(*conjunct, ctx, &env)) {
-                         buffer.push_back(rows[i]);
-                       }
-                     }
-                     ctx.Charge(buffer.size(), out.width());
-                   });
-  for (const std::vector<const Row*>& buffer : buffers) {
-    for (const Row* row : buffer) out.AddRow(*row);
-  }
+  ctx.Charge(out.size(), out.width());
   return out;
 }
 
@@ -357,7 +324,9 @@ NamedRelation AlgebraEvaluator::ExtendByFilter(const NamedRelation& acc,
   NamedRelation out(columns);
   stats_.filter_row_evals.fetch_add(acc.size() * n, std::memory_order_relaxed);
 
-  auto extend_one = [&](const Row& row, std::vector<Row>* sink) {
+  size_t polls = 0;
+  for (const Row& row : acc.rows()) {
+    if (StridedStop(ctx, &polls)) break;
     Env env = EnvFromRow(acc.columns(), row);
     env.Push(var, 0);
     for (size_t v = 0; v < n; ++v) {
@@ -365,40 +334,11 @@ NamedRelation AlgebraEvaluator::ExtendByFilter(const NamedRelation& acc,
       if (NaiveEvaluator::Holds(*conjunct, ctx, &env)) {
         Row extended = row;
         extended.push_back(static_cast<relational::Element>(v));
-        sink->push_back(std::move(extended));
+        out.AddRow(std::move(extended));
       }
     }
-  };
-
-  core::ThreadPool& pool = core::ThreadPool::Global();
-  const core::ParallelOptions parallel = ctx.Policy();
-  const size_t num_chunks = pool.PlanChunks(0, acc.size(), parallel);
-  if (num_chunks <= 1) {
-    std::vector<Row> extensions;
-    size_t polls = 0;
-    for (const Row& row : acc.rows()) {
-      if (StridedStop(ctx, &polls)) break;
-      extensions.clear();
-      extend_one(row, &extensions);
-      for (Row& extended : extensions) out.AddRow(std::move(extended));
-    }
-    ctx.Charge(out.size(), out.width());
-    return out;
   }
-
-  std::vector<const Row*> rows = GatherRows(acc.rows());
-  std::vector<std::vector<Row>> buffers(num_chunks);
-  pool.ParallelFor(0, rows.size(), parallel,
-                   [&](size_t chunk, size_t chunk_begin, size_t chunk_end) {
-                     std::vector<Row>& buffer = buffers[chunk];
-                     for (size_t i = chunk_begin; i < chunk_end; ++i) {
-                       extend_one(*rows[i], &buffer);
-                     }
-                     ctx.Charge(buffer.size(), out.width());
-                   });
-  for (std::vector<Row>& buffer : buffers) {
-    for (Row& extended : buffer) out.AddRow(std::move(extended));
-  }
+  ctx.Charge(out.size(), out.width());
   return out;
 }
 
@@ -435,11 +375,11 @@ NamedRelation AlgebraEvaluator::SatAnd(const Formula& formula,
       } else if (c->kind() == FormulaKind::kNot) {
         ++stats_.semi_joins;
         acc = acc.SemiJoin(SatClassic(c->children()[0], ctx), /*anti=*/true,
-                           ctx.Policy());
+                           ctx.governor);
         ctx.Charge(acc.size(), acc.width());
       } else {
         ++stats_.semi_joins;
-        acc = acc.SemiJoin(SatClassic(c, ctx), /*anti=*/false, ctx.Policy());
+        acc = acc.SemiJoin(SatClassic(c, ctx), /*anti=*/false, ctx.governor);
         ctx.Charge(acc.size(), acc.width());
       }
       erase_at(i);
@@ -505,7 +445,7 @@ NamedRelation AlgebraEvaluator::SatAnd(const Formula& formula,
       }
       case Choice::kAtomJoin:
         ++stats_.joins;
-        acc = acc.Join(SatAtom(*c, ctx), ctx.Policy());
+        acc = acc.Join(SatAtom(*c, ctx), ctx.governor);
         ctx.Charge(acc.size(), acc.width());
         break;
       case Choice::kFilterExtend:
@@ -513,7 +453,7 @@ NamedRelation AlgebraEvaluator::SatAnd(const Formula& formula,
         break;
       case Choice::kSatJoin:
         ++stats_.joins;
-        acc = acc.Join(SatClassic(c, ctx), ctx.Policy());
+        acc = acc.Join(SatClassic(c, ctx), ctx.governor);
         ctx.Charge(acc.size(), acc.width());
         break;
       case Choice::kNone:

@@ -96,7 +96,7 @@ class AlgebraEvaluator {
                                                const EvalContext& ctx) const;
 
   /// A snapshot of the counters. (Internally they are atomics so that one
-  /// evaluator may serve concurrent rule evaluations; see EvalOptions.)
+  /// evaluator may serve concurrent evaluations, e.g. service readers.)
   Stats stats() const { return stats_.Snapshot(); }
   void ResetStats() { stats_.Reset(); }
 
@@ -143,7 +143,7 @@ class AlgebraEvaluator {
   };
 
   /// Counters are relaxed atomics: the evaluator is logically const and may
-  /// run on several threads at once (rule-level parallelism). See
+  /// run on several threads at once (concurrent service readers). See
   /// fo/eval_stats.h.
   mutable AtomicEvalStats stats_;
 

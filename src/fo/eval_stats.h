@@ -2,8 +2,9 @@
 /// Work counters shared by the algebra evaluator and the compiled-plan
 /// executor, exposed for the evaluator-ablation benchmark.
 ///
-/// One evaluator may serve several concurrent rule evaluations (the engine's
-/// rule-parallel Apply), so the live counters are relaxed atomics — they are
+/// One evaluator may serve several concurrent evaluations (the service's
+/// shared read-path evaluator), and its counters are read while a writer
+/// evaluates, so the live counters are relaxed atomics — they are
 /// diagnostics, not synchronization — snapshotted into a plain struct for
 /// reporting. Keep the two structs field-for-field in sync.
 

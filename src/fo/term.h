@@ -100,7 +100,9 @@ class Term {
       case TermKind::kConstantSymbol:
         return name_;
       case TermKind::kParameter:
-        return "$" + std::to_string(index_);
+        // Appending (not "$" + string) sidesteps a GCC 12 -O3 false
+        // -Wrestrict in the inlined operator+.
+        return std::string("$").append(std::to_string(index_));
       case TermKind::kMin:
         return "min";
       case TermKind::kMax:

@@ -73,11 +73,7 @@ class Tuple {
   }
 
   bool operator==(const Tuple& other) const {
-    if (size_ != other.size_) return false;
-    for (int i = 0; i < size_; ++i) {
-      if (data_[i] != other.data_[i]) return false;
-    }
-    return true;
+    return size_ == other.size_ && data_ == other.data_;
   }
   bool operator!=(const Tuple& other) const { return !(*this == other); }
 
@@ -104,7 +100,11 @@ class Tuple {
   /// 64-bit hash suitable for unordered containers.
   uint64_t Hash() const {
     uint64_t h = 0x9e3779b97f4a7c15ULL ^ size_;
-    for (int i = 0; i < size_; ++i) {
+    // The redundant kMaxArity bound proves the loop stays inside data_;
+    // without it GCC 12 at -O3 cannot bound size_, assumes reads past the
+    // array (into an enclosing iterator's padding) and warns
+    // maybe-uninitialized.
+    for (int i = 0; i < size_ && i < kMaxArity; ++i) {
       h ^= data_[i] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
       h *= 0xff51afd7ed558ccdULL;
       h ^= h >> 33;
@@ -114,6 +114,8 @@ class Tuple {
 
  private:
   uint8_t size_;
+  /// Elements at positions >= size_ are always zero, so equality can
+  /// compare whole arrays.
   std::array<Element, kMaxArity> data_;
 };
 

@@ -13,6 +13,7 @@
 #include <string>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -25,9 +26,13 @@ struct RunResult {
 };
 
 /// Writes `script` to a temp file and replays it through the real binary.
+/// The file is named after the running test and this process, because ctest
+/// runs each case as its own process, possibly in parallel.
 RunResult RunCli(const std::string& flags, const std::string& script) {
   const std::string script_path =
-      ::testing::TempDir() + "/cli_batch_script.txt";
+      ::testing::TempDir() + "/cli_batch_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(getpid()) + ".txt";
   {
     std::ofstream out(script_path);
     out << script;
@@ -43,6 +48,7 @@ RunResult RunCli(const std::string& flags, const std::string& script) {
     result.output += buffer;
   }
   const int status = pclose(pipe);
+  std::remove(script_path.c_str());
   result.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return result;
 }

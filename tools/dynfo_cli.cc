@@ -34,7 +34,7 @@
 ///                      records per segment (= checkpoint interval and the
 ///                      recovery replay bound) for --durable-dir; default 64
 ///   --deadline-ms=N    per-request wall-clock budget; a request that blows
-///                      it is abandoned at the next chunk boundary with the
+///                      it is abandoned at the next governor poll with the
 ///                      engine left untouched
 ///   --max-memory-mb=N  per-request budget for materialized intermediates;
 ///                      a breach aborts the request instead of OOM-ing
