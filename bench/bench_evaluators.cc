@@ -2,12 +2,14 @@
 /// Cross-cutting evaluator ablation (DESIGN.md §3, §9) on the paper's own
 /// update programs (REACH_u and PARITY):
 ///   * naive substitute-and-test (reference semantics, O(n^arity) points);
-///   * algebra with per-call re-planning (the pre-plan-cache behavior);
-///   * algebra with compile-once plans (planner runs at load time only);
-///   * compiled plans probing persistent relation indexes (the default).
+///   * compiled plans with index probes off (the ladder's kCompiled rung);
+///   * compiled plans probing persistent relation indexes (the default);
+///   * the bit-parallel dense kernels.
 /// Each run reports plan-cache hit rate and per-update planner invocations
 /// so the compile-once contract is visible in the numbers, plus quantifier
-/// depth, the paper's parallel-time measure.
+/// depth, the paper's parallel-time measure. The *CompilePerCall rows clear
+/// the plan cache before every evaluation, so their quotient against the
+/// compiled rows is the planning cost that compile-once removes.
 
 #include <benchmark/benchmark.h>
 
@@ -29,8 +31,7 @@ namespace {
 // one-time costs (engine construction, load-time plan compilation, workload
 // structure allocation, cold caches on the first few applies) amortize away
 // instead of dominating the quotient. 384 puts even the cheapest per-update
-// path (the dense kernels, ~0.15us) well clear of those fixed costs; replan
-// is flat per-update, so longer replays do not bias the comparison.
+// path (the dense kernels, ~0.15us) well clear of those fixed costs.
 constexpr size_t kRequestsPerReplay = 384;
 /// The naive reference is orders of magnitude slower per update; a shorter
 /// replay keeps its curve affordable (per-update figures stay comparable —
@@ -56,30 +57,28 @@ relational::RequestSequence ParityWorkload(size_t n, size_t num_requests) {
 struct Variant {
   dyn::EvalMode eval_mode = dyn::EvalMode::kAlgebra;
   bool use_delta = false;
-  bool use_compiled_plans = false;
   bool use_indexes = false;
   bool use_dense = false;
 };
 
-// The algebra variants ablate ONLY the compile-once/index gates; everything
-// else (notably delta application) stays at the engine defaults, so the
-// comparison isolates the plan layer on the real hot Apply path. The naive
+// The algebra variants ablate ONLY the index gate; everything else stays at
+// the engine defaults, so the comparison isolates the index layer on the
+// real hot Apply path. Without indexes the semi-naive delta path is off too
+// (it needs index probes), so kCompiled rematerializes every rule. The naive
 // reference recomputes everything (it ignores the gates by construction).
-constexpr Variant kNaive{dyn::EvalMode::kNaive, false, false, false};
-constexpr Variant kReplan{dyn::EvalMode::kAlgebra, true, false, false};
-constexpr Variant kCompiled{dyn::EvalMode::kAlgebra, true, true, false};
-constexpr Variant kCompiledIndexed{dyn::EvalMode::kAlgebra, true, true, true};
-/// Full recompute with the plan layer on: isolates delta's contribution.
-constexpr Variant kNoDeltaIndexed{dyn::EvalMode::kAlgebra, false, true, true};
+constexpr Variant kNaive{dyn::EvalMode::kNaive, false, false};
+constexpr Variant kCompiled{dyn::EvalMode::kAlgebra, true, false};
+constexpr Variant kCompiledIndexed{dyn::EvalMode::kAlgebra, true, true};
+/// Full recompute with indexes on: isolates delta's contribution.
+constexpr Variant kNoDeltaIndexed{dyn::EvalMode::kAlgebra, false, true};
 /// Everything on plus the bit-parallel dense backend (DESIGN.md §13): the
 /// word-level kernels replace per-tuple hash work where rules lower.
-constexpr Variant kDense{dyn::EvalMode::kAlgebra, true, true, true, true};
+constexpr Variant kDense{dyn::EvalMode::kAlgebra, true, true, true};
 
 dyn::EngineOptions ToOptions(const Variant& variant) {
   dyn::EngineOptions options;
   options.eval_mode = variant.eval_mode;
   options.use_delta = variant.use_delta;
-  options.use_compiled_plans = variant.use_compiled_plans;
   options.use_indexes = variant.use_indexes;
   options.use_dense_relations = variant.use_dense;
   return options;
@@ -163,11 +162,6 @@ BENCHMARK(BM_EvalNaive)->DenseRange(6, 12, 3);
 // per-update cost of the semi-naive path stays flat as the universe grows
 // (the request's delta is local) while every full-rematerialization variant
 // pays universe-proportional work per update.
-void BM_EvalAlgebraReplan(benchmark::State& state) { RunReach(state, kReplan); }
-BENCHMARK(BM_EvalAlgebraReplan)
-    ->DenseRange(6, 12, 3)->DenseRange(16, 24, 8)
-    ->RangeMultiplier(2)->Range(96, 384);
-
 void BM_EvalAlgebraCompiled(benchmark::State& state) { RunReach(state, kCompiled); }
 BENCHMARK(BM_EvalAlgebraCompiled)
     ->DenseRange(6, 12, 3)->DenseRange(16, 24, 8)
@@ -214,19 +208,20 @@ const relational::Structure& ReachStructure(size_t n) {
 
 /// The hot shape the plan/index layer targets: per-update evaluation of the
 /// paper's request-local subformulas. SameTree(x, $0) — "x is in the updated
-/// vertex's tree" — appears in every reach_u update rule; with re-planning
-/// each evaluation plans the formula and scans all of PV, while a compiled
-/// plan replays instantly and probes the persistent PV index with the pinned
-/// parameter. Output stays small (one tree), so this isolates evaluator
-/// overhead rather than inherent result materialization.
-void RunLocality(benchmark::State& state, const Variant& variant) {
+/// vertex's tree" — appears in every reach_u update rule; a compiled plan
+/// replays instantly and probes the persistent PV index with the pinned
+/// parameter, where an unindexed plan scans all of PV. Output stays small
+/// (one tree), so this isolates evaluator overhead rather than inherent
+/// result materialization. `compile_per_call` clears the plan cache before
+/// every evaluation, so each one pays the planner again.
+void RunLocality(benchmark::State& state, const Variant& variant,
+                 bool compile_per_call = false) {
   const size_t n = static_cast<size_t>(state.range(0));
   const relational::Structure& data = ReachStructure(n);
   const fo::FormulaPtr phi = programs::SameTree(fo::V("x"), fo::P0()).ptr;
   const std::vector<std::string> variables = {"x"};
 
   fo::EvalOptions eval_options;
-  eval_options.use_compiled_plans = variant.use_compiled_plans;
   eval_options.use_indexes = variant.use_indexes;
   fo::AlgebraEvaluator evaluator;
   // Warmup compiles the plan and builds the index, as engine load time does.
@@ -236,6 +231,7 @@ void RunLocality(benchmark::State& state, const Variant& variant) {
 
   relational::Element a = 0;
   for (auto _ : state) {
+    if (compile_per_call) evaluator.ClearPlanCache();
     fo::EvalContext ctx(data, {a}, eval_options);
     benchmark::DoNotOptimize(evaluator.EvaluateAsRelation(phi, variables, ctx));
     a = (a + 1) % static_cast<relational::Element>(n);
@@ -255,10 +251,10 @@ void RunLocality(benchmark::State& state, const Variant& variant) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-void BM_UpdateLocalityReplan(benchmark::State& state) {
-  RunLocality(state, kReplan);
+void BM_UpdateLocalityCompilePerCall(benchmark::State& state) {
+  RunLocality(state, kCompiledIndexed, /*compile_per_call=*/true);
 }
-BENCHMARK(BM_UpdateLocalityReplan)->RangeMultiplier(2)->Range(16, 64);
+BENCHMARK(BM_UpdateLocalityCompilePerCall)->RangeMultiplier(2)->Range(16, 64);
 
 void BM_UpdateLocalityCompiled(benchmark::State& state) {
   RunLocality(state, kCompiled);
@@ -273,9 +269,6 @@ BENCHMARK(BM_UpdateLocalityCompiledIndexed)->RangeMultiplier(2)->Range(16, 64);
 void BM_ParityNaive(benchmark::State& state) { RunParity(state, kNaive); }
 BENCHMARK(BM_ParityNaive)->RangeMultiplier(4)->Range(16, 256);
 
-void BM_ParityReplan(benchmark::State& state) { RunParity(state, kReplan); }
-BENCHMARK(BM_ParityReplan)->RangeMultiplier(4)->Range(16, 1024);
-
 void BM_ParityCompiled(benchmark::State& state) { RunParity(state, kCompiled); }
 BENCHMARK(BM_ParityCompiled)->RangeMultiplier(4)->Range(16, 1024);
 
@@ -287,10 +280,11 @@ BENCHMARK(BM_ParityCompiledIndexed)->RangeMultiplier(4)->Range(16, 1024);
 void BM_ParityDense(benchmark::State& state) { RunParity(state, kDense); }
 BENCHMARK(BM_ParityDense)->RangeMultiplier(4)->Range(16, 1024);
 
-/// Paired form of the replan-vs-dense comparison: every iteration replays
-/// the identical workload under both variants back-to-back and the derived
-/// quotient is reported as the `speedup` counter. Two independently timed
-/// benchmarks run minutes apart in a full suite, so slow host drift
+/// Paired form of the hash-vs-dense comparison: every iteration replays the
+/// identical workload on the compiled+indexed hash path (what the engine
+/// runs with dense off) and on the dense kernels back-to-back, and the
+/// derived quotient is reported as the `speedup` counter. Two independently
+/// timed benchmarks run minutes apart in a full suite, so slow host drift
 /// (frequency scaling, noisy neighbors on shared runners) lands on one side
 /// of the quotient and swings it by ±15%; inside one iteration the drift is
 /// common-mode and cancels. The parity_apply CI gate reads this counter
@@ -334,7 +328,7 @@ void BM_ParityDenseSpeedup(benchmark::State& state) {
     }
     if (apply_ns != nullptr) *apply_ns += cpu_now_ns() - t0;
   };
-  int64_t replan_ns = 0;
+  int64_t hash_ns = 0;
   int64_t dense_ns = 0;
   auto timed = [&](const Variant& variant) {
     replay(variant, nullptr);
@@ -343,12 +337,12 @@ void BM_ParityDenseSpeedup(benchmark::State& state) {
     return total;
   };
   for (auto _ : state) {
-    replan_ns += timed(kReplan);
+    hash_ns += timed(kCompiledIndexed);
     dense_ns += timed(kDense);
   }
   state.counters["speedup"] =
       dense_ns == 0 ? 0.0
-                    : static_cast<double>(replan_ns) /
+                    : static_cast<double>(hash_ns) /
                           static_cast<double>(dense_ns);
   state.SetItemsProcessed(
       static_cast<int64_t>(state.iterations() * requests.size()));
@@ -357,9 +351,11 @@ BENCHMARK(BM_ParityDenseSpeedup)->Arg(1024);
 
 /// Parity's per-update evaluation in isolation: the paper's b' formula,
 /// evaluated with a pinned parameter against a populated M. All conjuncts
-/// are O(1) point lookups, so the quotient between these two benchmarks is
-/// purely the planning overhead the compile-once layer removes.
-void RunParityUpdateEval(benchmark::State& state, const Variant& variant) {
+/// are O(1) point lookups, so the quotient between the compile-per-call and
+/// the compiled benchmark is purely the planning overhead the compile-once
+/// layer removes.
+void RunParityUpdateEval(benchmark::State& state, const Variant& variant,
+                         bool compile_per_call = false) {
   const size_t n = static_cast<size_t>(state.range(0));
   auto program = programs::MakeParityProgram();
   relational::Structure data(program->data_vocabulary(), n);
@@ -372,13 +368,13 @@ void RunParityUpdateEval(benchmark::State& state, const Variant& variant) {
   const fo::FormulaPtr& phi = rules->updates.front().formula;
 
   fo::EvalOptions eval_options;
-  eval_options.use_compiled_plans = variant.use_compiled_plans;
   eval_options.use_indexes = variant.use_indexes;
   fo::AlgebraEvaluator evaluator;
   evaluator.HoldsSentence(phi, fo::EvalContext(data, {0}, eval_options));
 
   relational::Element a = 0;
   for (auto _ : state) {
+    if (compile_per_call) evaluator.ClearPlanCache();
     fo::EvalContext ctx(data, {a}, eval_options);
     benchmark::DoNotOptimize(evaluator.HoldsSentence(phi, ctx));
     a = (a + 1) % static_cast<relational::Element>(n);
@@ -387,10 +383,10 @@ void RunParityUpdateEval(benchmark::State& state, const Variant& variant) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-void BM_ParityUpdateEvalReplan(benchmark::State& state) {
-  RunParityUpdateEval(state, kReplan);
+void BM_ParityUpdateEvalCompilePerCall(benchmark::State& state) {
+  RunParityUpdateEval(state, kCompiledIndexed, /*compile_per_call=*/true);
 }
-BENCHMARK(BM_ParityUpdateEvalReplan)->Arg(1024);
+BENCHMARK(BM_ParityUpdateEvalCompilePerCall)->Arg(1024);
 
 void BM_ParityUpdateEvalCompiled(benchmark::State& state) {
   RunParityUpdateEval(state, kCompiledIndexed);

@@ -16,16 +16,6 @@ namespace dynfo::dyn {
 
 namespace {
 
-bool IsQuantifierFree(const fo::Formula& f) {
-  if (f.kind() == fo::FormulaKind::kExists || f.kind() == fo::FormulaKind::kForall) {
-    return false;
-  }
-  for (const fo::FormulaPtr& child : f.children()) {
-    if (!IsQuantifierFree(*child)) return false;
-  }
-  return true;
-}
-
 /// True iff `f` is Atom(R, x1, ..., xk) with args exactly the rule's tuple
 /// variables, in order — the anchor shape a delta decomposition reads.
 bool IsBaseAtom(const fo::Formula& f, const UpdateRule& rule) {
@@ -86,10 +76,7 @@ void Engine::BuildDenseBundles() {
   dense_memo_.Clear();
   dense_query_ = nullptr;
   dense_query_bit_ = -1;
-  if (backend_policy() == relational::BackendPolicy::kHashOnly ||
-      !options_.use_compiled_plans) {
-    return;
-  }
+  if (backend_policy() == relational::BackendPolicy::kHashOnly) return;
   // Stack-array bound in TryDenseApply; no real program comes close.
   constexpr size_t kMaxDenseRules = 16;
   const relational::Vocabulary& vocab = data_.vocabulary();
@@ -148,7 +135,7 @@ void Engine::BuildDenseBundles() {
 
 void Engine::PrecompileProgram() {
   BuildDenseBundles();
-  if (options_.eval_mode != EvalMode::kAlgebra || !options_.use_compiled_plans) return;
+  if (options_.eval_mode != EvalMode::kAlgebra) return;
   fo::EvalContext ctx(data_, {}, eval_options());
   auto precompile = [&](const fo::FormulaPtr& formula) {
     if (formula == nullptr) return;
@@ -187,7 +174,7 @@ void Engine::PrecompileProgram() {
         // legacy removal scan; the semi-naive program replaces it), and the
         // additions unless trivially empty.
         if (!semi && plan.keep->kind() != fo::FormulaKind::kTrue &&
-            !IsQuantifierFree(*plan.keep)) {
+            !plan.keep->IsQuantifierFree()) {
           precompile(plan.keep);
         }
         if (plan.additions->kind() != fo::FormulaKind::kFalse) {
@@ -281,7 +268,7 @@ const Engine::DeltaPlan& Engine::PlanFor(const UpdateRule& rule) {
   const bool trivial_keep =
       plan.applicable && plan.keep->kind() == fo::FormulaKind::kTrue;
   if (plan.applicable && options_.eval_mode == EvalMode::kAlgebra &&
-      options_.use_delta && options_.use_compiled_plans &&
+      options_.use_delta &&
       // Duplicate tuple variables make position→column mapping ambiguous
       // for a removal plan (harmless when nothing is ever removed).
       (trivial_keep || !HasDuplicates(rule.tuple_variables))) {
@@ -417,10 +404,7 @@ Engine::DenseApplyOutcome Engine::TryDenseApply(
 
 ExecTier Engine::ConfiguredTier() const {
   if (options_.eval_mode == EvalMode::kNaive) return ExecTier::kNaive;
-  if (options_.use_compiled_plans && options_.use_indexes) {
-    return ExecTier::kCompiledIndexed;
-  }
-  return ExecTier::kCompiled;
+  return options_.use_indexes ? ExecTier::kCompiledIndexed : ExecTier::kCompiled;
 }
 
 core::Status Engine::ValidateIndexes() const {
@@ -644,7 +628,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
                                std::optional<ExecTier> tier) {
   const bool governed = governor != nullptr;
 
-  // Tier override: pin this request's evaluation mode and plan/index gates,
+  // Tier override: pin this request's evaluation mode and index gate,
   // leaving the engine's configured options untouched.
   EvalMode mode = options_.eval_mode;
   fo::EvalOptions eopts = eval_options();
@@ -653,12 +637,10 @@ core::Status Engine::ApplyCore(const relational::Request& request,
     switch (*tier) {
       case ExecTier::kCompiledIndexed:
         mode = EvalMode::kAlgebra;
-        eopts.use_compiled_plans = true;
         eopts.use_indexes = true;
         break;
       case ExecTier::kCompiled:
         mode = EvalMode::kAlgebra;
-        eopts.use_compiled_plans = true;
         eopts.use_indexes = false;
         break;
       case ExecTier::kNaive:
@@ -725,17 +707,16 @@ core::Status Engine::ApplyCore(const relational::Request& request,
 
   const bool delta_configured = use_delta && mode == EvalMode::kAlgebra;
   auto semi_naive = [&](const DeltaPlan& plan) {
-    return delta_configured && eopts.use_compiled_plans && eopts.use_indexes &&
+    return delta_configured && eopts.use_indexes &&
            plan.applicable && plan.removals != nullptr && plan.removals->bounded;
   };
 
   // Temporaries: evaluated in order, committed immediately so later rules in
   // this same request can read them. They never shadow non-let relations'
-  // old values because validated programs use distinct let targets. Lets
-  // feed each other, so they stay sequential (their operators still
-  // parallelize internally). Because lets mutate data_ before the request's
-  // commit point, a governed Apply snapshots each let's old value and rolls
-  // it back on abort (ungoverned Applies never abort and skip the copies).
+  // old values because validated programs use distinct let targets. Because
+  // lets mutate data_ before the request's commit point, a governed Apply
+  // snapshots each let's old value and rolls it back on abort (ungoverned
+  // Applies never abort and skip the copies).
   std::vector<std::pair<std::string, relational::Relation>> let_rollback;
   auto abort_with = [&](core::Status status) {
     for (auto it = let_rollback.rbegin(); it != let_rollback.rend(); ++it) {
@@ -858,7 +839,7 @@ core::Status Engine::ApplyCore(const relational::Request& request,
         return governor != nullptr &&
                (polls++ % core::kGovernorStride) == 0 && ctx.ShouldStop();
       };
-      if (IsQuantifierFree(*plan.keep)) {
+      if (plan.keep->IsQuantifierFree()) {
         for (const relational::Tuple& t : old) {
           if (strided_stop()) break;
           fo::Env env;

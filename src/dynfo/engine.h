@@ -8,13 +8,14 @@
 /// Two orthogonal execution choices, both semantics-preserving (and verified
 /// so by tests):
 ///   * eval_mode — which evaluator computes formula results (naive
-///     substitute-and-test vs. the relational-algebra compiler);
+///     substitute-and-test vs. the relational-algebra compiler, whose
+///     formulas are all compiled to plans once, at load time);
 ///   * use_delta — when an update formula syntactically decomposes over a
 ///     base relation ("(B(x-bar) & keep) | delta", with B the target itself
 ///     or any other data relation), apply it as a diff instead of rebuilding
-///     the relation. With compiled plans and indexes on, the removal side
-///     runs a semi-naive program (fo/plan.h, DeltaProgram) that emits only
-///     the changed tuples, deltas propagate between lets and update targets
+///     the relation. With indexes on, the removal side runs a semi-naive
+///     program (fo/plan.h, DeltaProgram) that emits only the changed
+///     tuples, deltas propagate between lets and update targets
 ///     across the rule DAG within one Apply (copy-on-write relation versions
 ///     plus op-chain provenance), and non-delta-safe rules fall back to the
 ///     full-materialization path. This is the sequential-implementation
@@ -141,21 +142,17 @@ struct EngineOptions {
   /// Apply target-preserving rules as in-place diffs. Only honored in
   /// kAlgebra mode; kNaive always recomputes (it is the reference).
   bool use_delta = true;
-  /// Compile each formula to a reusable plan once at load time instead of
-  /// re-planning on every evaluation (fo/plan.h). Only meaningful in kAlgebra
-  /// mode; off = the pre-plan-cache behavior, kept for bench ablation.
-  bool use_compiled_plans = true;
   /// Maintain persistent per-column-subset indexes on the stored relations
   /// and let compiled atom joins probe them (relational/index.h). Only
-  /// effective with use_compiled_plans.
+  /// meaningful in kAlgebra mode, where every formula runs as a plan
+  /// compiled once at load time (fo/plan.h).
   bool use_indexes = true;
   /// Let eligible stored relations (arity <= 2) use the packed-bitmap
   /// backend, chosen per relation by a density cost model at commit
   /// boundaries, and answer whole requests through lowered word-parallel
   /// kernels when every update rule of the request class lowers
   /// (DESIGN.md §13). Off by default: the hash backend stays the reference;
-  /// the CLI and benchmarks opt in. Only meaningful in kAlgebra mode with
-  /// compiled plans.
+  /// the CLI and benchmarks opt in. Only meaningful in kAlgebra mode.
   bool use_dense_relations = false;
   /// With use_dense_relations, pin every representable relation to the
   /// dense backend instead of consulting the cost model (CLI
@@ -187,8 +184,8 @@ class Engine {
     uint64_t delta_rules = 0;
     /// Rule applications that had delta configured (use_delta, algebra mode)
     /// but fell back to full rematerialization — not decomposable, removal
-    /// side not delta-safe, or the semi-naive gates (compiled plans +
-    /// indexes) off for the request.
+    /// side not delta-safe, or the semi-naive gate (indexes) off for the
+    /// request.
     uint64_t fallback_recomputes = 0;
     /// ApplyBatch/TryApplyBatch calls that applied at least one request,
     /// and the requests they applied (each also counted in `requests`).
@@ -390,7 +387,7 @@ class Engine {
     fo::FormulaPtr additions;  ///< tuples to add (may be False)
     /// Compiled semi-naive removal program for the keep-filter (fo/plan.h);
     /// null until compiled, bounded only when delta-safe. Compiled lazily by
-    /// PlanFor under the kAlgebra + use_delta + use_compiled_plans gates.
+    /// PlanFor under the kAlgebra + use_delta gates.
     std::shared_ptr<const fo::DeltaProgram> removals;
   };
 
@@ -469,14 +466,11 @@ class Engine {
   /// Compiles every formula the program can execute (delta keeps/additions,
   /// full rules, lets, queries) and registers the plans' indexes on `data_`,
   /// so the hot Apply path never plans and its first probe never builds.
-  /// No-op outside kAlgebra mode or with use_compiled_plans off.
+  /// No-op outside kAlgebra mode.
   void PrecompileProgram();
 
-  /// Evaluation options derived from EngineOptions (the compiled-plan/index
-  /// gates).
-  fo::EvalOptions eval_options() const {
-    return {options_.use_compiled_plans, options_.use_indexes};
-  }
+  /// Evaluation options derived from EngineOptions (the index gate).
+  fo::EvalOptions eval_options() const { return {options_.use_indexes}; }
 
   std::shared_ptr<const DynProgram> program_;
   EngineOptions options_;

@@ -20,26 +20,11 @@ namespace {
 using relational::Element;
 using relational::Request;
 
-/// Read-path evaluation options for a tier: the ladder's first three rungs
-/// expressed as plan/index gates. The service gets its parallelism from
-/// concurrent sessions.
+/// Read-path evaluation options for a tier: only the top rung probes
+/// persistent indexes (kNaive reads bypass the algebra evaluator). The
+/// service gets its parallelism from concurrent sessions.
 fo::EvalOptions ReadOptionsFor(ExecTier tier) {
-  fo::EvalOptions options;
-  switch (tier) {
-    case ExecTier::kCompiledIndexed:
-      options.use_compiled_plans = true;
-      options.use_indexes = true;
-      break;
-    case ExecTier::kCompiled:
-      options.use_compiled_plans = true;
-      options.use_indexes = false;
-      break;
-    default:
-      options.use_compiled_plans = false;
-      options.use_indexes = false;
-      break;
-  }
-  return options;
+  return {tier == ExecTier::kCompiledIndexed};
 }
 
 }  // namespace

@@ -15,16 +15,12 @@
 
 namespace dynfo::fo {
 
-/// Execution-path gates for set-based evaluation.
+/// Execution-path gate for set-based evaluation. Formulas always run as
+/// compiled, cached plans (fo/plan.h).
 struct EvalOptions {
-  /// Compile formulas to reusable operator-tree plans once and execute the
-  /// cached plan thereafter (see fo/plan.h), instead of re-running the greedy
-  /// planner on every evaluation. Observationally equivalent; ablate with
-  /// bench_evaluators.
-  bool use_compiled_plans = true;
   /// Let compiled atom joins probe persistent per-column-subset indexes on
   /// the stored relations (see relational/index.h) instead of rebuilding a
-  /// hash build side per join. Only effective with use_compiled_plans.
+  /// hash build side per join.
   bool use_indexes = true;
 };
 

@@ -192,6 +192,14 @@ int Formula::QuantifierDepth() const {
   return depth;
 }
 
+bool Formula::IsQuantifierFree() const {
+  if (kind_ == FormulaKind::kExists || kind_ == FormulaKind::kForall) return false;
+  for (const FormulaPtr& child : children_) {
+    if (!child->IsQuantifierFree()) return false;
+  }
+  return true;
+}
+
 namespace {
 void CollectVariables(const Formula& f, std::set<std::string>* out) {
   if (f.kind() == FormulaKind::kAtom) {

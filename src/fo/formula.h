@@ -76,6 +76,8 @@ class Formula {
   /// Maximum nesting depth of quantifier blocks — the paper's proxy for
   /// parallel time (FO = CRAM[1]: depth = O(1) parallel steps).
   int QuantifierDepth() const;
+  /// True iff no quantifier occurs anywhere in the formula.
+  bool IsQuantifierFree() const;
   /// The number of distinct variables (free or bound) the formula uses —
   /// the paper's proxy for *space* ("space corresponds to number of
   /// variables", §2). Shadowed reuses of a name count once.

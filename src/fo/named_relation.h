@@ -56,9 +56,6 @@ class NamedRelation {
   /// No rows over the given columns: "false".
   explicit NamedRelation(std::vector<std::string> columns);
 
-  /// All of {0..n-1}^k over the given columns.
-  static NamedRelation FullUniverse(std::vector<std::string> columns, size_t n);
-
   const std::vector<std::string>& columns() const { return columns_; }
   int width() const { return static_cast<int>(columns_.size()); }
   size_t size() const { return rows_.size(); }
@@ -72,9 +69,6 @@ class NamedRelation {
   /// Adds a row (width must match). Returns true if newly inserted.
   bool AddRow(Row row);
 
-  /// Projection onto `keep` (a subset of columns), deduplicated.
-  NamedRelation Project(const std::vector<std::string>& keep) const;
-
   /// Natural join on the shared columns (cross product when none shared).
   /// Governed callers pass their governor: the probe loop polls it every
   /// core::kGovernorStride rows and stops early on a trip.
@@ -85,9 +79,6 @@ class NamedRelation {
   /// columns. Requires other's columns ⊆ this's columns. Polled like Join.
   NamedRelation SemiJoin(const NamedRelation& other, bool anti,
                          const core::ExecGovernor* governor = nullptr) const;
-
-  /// Set union; the two column sets must be equal (order may differ).
-  NamedRelation Union(const NamedRelation& other) const;
 
   /// Rows of the full universe^k not in *this. The n^k grid scan is polled
   /// like Join.

@@ -10,14 +10,6 @@ namespace dynfo::fo {
 
 namespace {
 
-bool IsQuantifierFree(const Formula& f) {
-  if (f.kind() == FormulaKind::kExists || f.kind() == FormulaKind::kForall) return false;
-  for (const FormulaPtr& child : f.children()) {
-    if (!IsQuantifierFree(*child)) return false;
-  }
-  return true;
-}
-
 bool Subset(const std::vector<std::string>& small, const std::vector<std::string>& big) {
   for (const std::string& s : small) {
     if (std::find(big.begin(), big.end(), s) == big.end()) return false;
@@ -139,8 +131,7 @@ PlanPtr PlanCompiler::CompileNumeric(const Formula& f) const {
   plan->numeric_kind = f.kind();
   plan->left = f.left();
   plan->right = f.right();
-  // Variable-ness is static, so the output schema is too (the legacy
-  // SatNumeric branch taken at runtime is always the same one).
+  // Variable-ness is static, so the output schema is too.
   const bool lv = f.left().is_variable();
   const bool rv = f.right().is_variable();
   if (lv && rv) {
@@ -158,12 +149,11 @@ PlanPtr PlanCompiler::CompileNumeric(const Formula& f) const {
 }
 
 PlanPtr PlanCompiler::CompileAnd(const Formula& f) const {
-  // Replays the legacy greedy planner (eval_algebra.cc, SatAnd) against a
-  // *simulated* accumulator schema. Runtime-size costs become static
-  // heuristics: the operator-class ordering (equality extension < atom join
-  // < filtered extension < full-Sat join) is preserved; among atoms, ones
-  // with more key parts and fewer fresh variables are preferred, standing in
-  // for "smaller build side".
+  // The greedy conjunction planner, run against a *simulated* accumulator
+  // schema. Costs are static heuristics, not runtime sizes: operator classes
+  // rank equality extension < atom join < filtered extension < full-Sat
+  // join; among atoms, ones with more key parts and fewer fresh variables
+  // are preferred, standing in for "smaller build side".
   const std::vector<std::string> target_columns = f.FreeVariables();
   std::vector<FormulaPtr> pending = f.children();
   std::vector<std::vector<std::string>> free;
@@ -186,7 +176,7 @@ PlanPtr PlanCompiler::CompileAnd(const Formula& f) const {
       const FormulaPtr& c = pending[i];
       ConjStep step;
       step.columns_before = bound;
-      if (IsQuantifierFree(*c) || c->kind() == FormulaKind::kForall) {
+      if (c->IsQuantifierFree() || c->kind() == FormulaKind::kForall) {
         step.kind = ConjStepKind::kFilterRows;
         step.formula = c;
       } else if (c->kind() == FormulaKind::kNot) {
@@ -286,7 +276,7 @@ PlanPtr PlanCompiler::CompileAnd(const Formula& f) const {
           cost = kCostUnionExtend;
         }
       }
-      if (choice == Choice::kNone && unbound.size() == 1 && IsQuantifierFree(*c)) {
+      if (choice == Choice::kNone && unbound.size() == 1 && c->IsQuantifierFree()) {
         choice = Choice::kFilterExtend;
         cost = kCostFilterExtend;
       }

@@ -1,8 +1,7 @@
 /// \file plan_exec.cc
-/// Executes compiled plans (fo/plan.h). Operator semantics and counter
-/// accounting mirror the legacy evaluator (eval_algebra.cc) exactly — the
-/// only behavioral additions are persistent-index probes in place of scans
-/// and per-join hash builds, gated by EvalOptions::use_indexes.
+/// Executes compiled plans (fo/plan.h). Atom joins probe persistent indexes
+/// in place of scans and per-join hash builds, gated by
+/// EvalOptions::use_indexes.
 
 #include <algorithm>
 #include <bit>
@@ -113,7 +112,7 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
                                const EvalContext& ctx, AtomicEvalStats* stats) {
   Count(stats->joins);
   if (!ctx.options.use_indexes) {
-    // Legacy shape: hash-join against a freshly scanned build side.
+    // Unindexed shape: hash-join against a freshly scanned build side.
     return acc.Join(ExecuteScan(step.scan, ctx, stats), ctx.governor);
   }
 
@@ -227,7 +226,7 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
                                  const EvalContext& ctx, AtomicEvalStats* stats) {
   if (!ctx.options.use_indexes) {
     // Without persistent indexes the per-branch probes would degenerate to
-    // per-row relation scans; the legacy extend-and-filter shape is simpler
+    // per-row relation scans; the plain extend-and-filter shape is simpler
     // and identically correct.
     return ExecuteFilterExtend(acc, step, ctx, stats);
   }

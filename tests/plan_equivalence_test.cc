@@ -1,11 +1,11 @@
 /// Property tests for the compile-once plan layer (fo/plan.h): under every
-/// gate combination — compiled plans with and without persistent indexes,
-/// and the legacy re-planning path — the algebra evaluator must be
-/// observationally identical to the naive reference, on random formulas and
-/// on full engine request sequences. Also pins the compile-once contract
-/// itself: after warmup the plan cache serves every call (hit rate ~1.0) and
-/// the hot Apply path runs zero planner invocations, and plans/indexes stay
-/// consistent across Snapshot/Restore and ReloadProgram.
+/// gate combination — compiled plans with and without persistent indexes —
+/// the algebra evaluator must be observationally identical to the naive
+/// reference, on random formulas and on full engine request sequences. Also
+/// pins the compile-once contract itself: after warmup the plan cache serves
+/// every call (hit rate ~1.0) and the hot Apply path runs zero planner
+/// invocations, and plans/indexes stay consistent across Snapshot/Restore
+/// and ReloadProgram.
 
 #include <gtest/gtest.h>
 
@@ -25,24 +25,21 @@
 namespace dynfo {
 namespace {
 
-/// The ablation axes: {use_compiled_plans, use_indexes}. Indexes without
-/// compiled plans is not a meaningful configuration (indexes are probed only
-/// by compiled plans), so three combos cover the space.
+/// The ablation axis: use_indexes. Formulas always run as compiled plans,
+/// so two combos cover the space (the ladder's kCompiledIndexed and
+/// kCompiled rungs).
 struct GateCombo {
   const char* name;
-  bool use_compiled_plans;
   bool use_indexes;
 };
 
 constexpr GateCombo kGateCombos[] = {
-    {"compiled+indexed", true, true},
-    {"compiled", true, false},
-    {"legacy", false, false},
+    {"compiled+indexed", true},
+    {"compiled", false},
 };
 
 fo::EvalOptions GatedOptions(const GateCombo& combo) {
   fo::EvalOptions options;
-  options.use_compiled_plans = combo.use_compiled_plans;
   options.use_indexes = combo.use_indexes;
   return options;
 }
@@ -236,7 +233,6 @@ TEST(PlanEquivalence, EngineSequencesIdenticalUnderAllGateCombos) {
     std::vector<std::unique_ptr<dyn::Engine>> engines;
     for (const GateCombo& combo : kGateCombos) {
       dyn::EngineOptions options;
-      options.use_compiled_plans = combo.use_compiled_plans;
       options.use_indexes = combo.use_indexes;
       engines.push_back(
           std::make_unique<dyn::Engine>(test_case.program, test_case.universe, options));

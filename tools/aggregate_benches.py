@@ -3,9 +3,10 @@
 
 Stdlib only. Alongside the raw per-benchmark rows it computes the derived
 ablation quotients the plan/index work is judged by (see EXPERIMENTS.md,
-"Evaluator ablation"): per-update evaluation speedups of compiled+indexed
-plans over the re-planning evaluator, plan-cache hit rates, per-update
-planner invocations, and the delta-materialization counters (DESIGN.md §11).
+"Evaluator ablation"): per-update evaluation speedups of compile-once plans
+over compiling per call, of index probes over unindexed plans, and of the
+dense kernels over the hash path; plan-cache hit rates, per-update planner
+invocations, and the delta-materialization counters (DESIGN.md §11).
 
 Debug-built inputs are rejected (the numbers are meaningless to quote or
 gate on). The JSON context's library_build_type describes the *benchmark
@@ -119,22 +120,20 @@ def derive(rows):
     derived = {}
     # Per-update evaluation of the request-local reach_u subformula (the hot
     # shape the plan/index layer targets) and parity's full update formula.
+    # The *_update_eval quotients are the planning cost alone: the same
+    # compiled+indexed gates, with the plan cache cleared before every call.
     pairs = {
-        "reach_u_update_eval": ("BM_UpdateLocalityReplan",
+        "reach_u_update_eval": ("BM_UpdateLocalityCompilePerCall",
                                 "BM_UpdateLocalityCompiledIndexed"),
-        "reach_u_update_eval_compiled_only": ("BM_UpdateLocalityReplan",
-                                              "BM_UpdateLocalityCompiled"),
-        "parity_update_eval": ("BM_ParityUpdateEvalReplan",
+        "parity_update_eval": ("BM_ParityUpdateEvalCompilePerCall",
                                "BM_ParityUpdateEvalCompiled"),
-        # End-to-end Apply (includes inherent result materialization, which
-        # the plan layer cannot remove — see EXPERIMENTS.md).
-        "reach_u_apply": ("BM_EvalAlgebraReplan", "BM_EvalAlgebraCompiledIndexed"),
-        # The headline parity gate runs on the dense kernel path (DESIGN.md
-        # §13); the plan-layer-only pair is kept under _hash for the ablation.
-        "parity_apply": ("BM_ParityReplan", "BM_ParityDense"),
-        "parity_apply_hash": ("BM_ParityReplan", "BM_ParityCompiledIndexed"),
-        "parity_apply_dense_vs_hash": ("BM_ParityCompiledIndexed",
-                                       "BM_ParityDense"),
+        # End-to-end Apply over the ladder's kCompiled rung (no index
+        # probes, so no semi-naive delta either); includes inherent result
+        # materialization — see EXPERIMENTS.md.
+        "reach_u_apply": ("BM_EvalAlgebraCompiled", "BM_EvalAlgebraCompiledIndexed"),
+        # The headline parity gate: the dense kernel path (DESIGN.md §13)
+        # over the compiled+indexed hash path the engine runs with dense off.
+        "parity_apply": ("BM_ParityCompiledIndexed", "BM_ParityDense"),
         "reach_u_apply_dense_vs_hash": ("BM_EvalAlgebraCompiledIndexed",
                                         "BM_EvalAlgebraDense"),
     }
@@ -152,7 +151,7 @@ def derive(rows):
     if paired is not None and "speedup" in paired.get("counters", {}):
         speedups["parity_apply"] = {
             "at": paired["name"].rsplit("/", 1)[1],
-            "slow": "BM_ParityReplan (paired)",
+            "slow": "BM_ParityCompiledIndexed (paired)",
             "fast": "BM_ParityDense (paired)",
             "speedup": round(paired["counters"]["speedup"], 3),
             "paired": True,
