@@ -6,7 +6,8 @@ ablation quotients the plan/index work is judged by (see EXPERIMENTS.md,
 "Evaluator ablation"): per-update evaluation speedups of compile-once plans
 over compiling per call, of index probes over unindexed plans, and of the
 dense kernels over the hash path; plan-cache hit rates, per-update planner
-invocations, and the delta-materialization counters (DESIGN.md §11).
+invocations, the delta-materialization counters (DESIGN.md §11), and the
+real-disk latency of one durable journal append (DESIGN.md §12).
 
 Debug-built inputs are rejected (the numbers are meaningless to quote or
 gate on). The JSON context's library_build_type describes the *benchmark
@@ -207,6 +208,19 @@ def derive(rows):
     service = derive_service(rows)
     if service:
         derived["service"] = service
+
+    # One durable append on a real filesystem (bench_recovery): an in-place
+    # record write + fdatasync into a pre-sized segment (DESIGN.md §12).
+    append = by_name(rows).get("BM_DurableAppendLatency")
+    if append is not None:
+        counters = append.get("counters", {})
+        entry = {k: round(counters[k], 3) for k in
+                 ("append_p50_us", "append_p99_us", "syncs_per_append",
+                  "bytes_per_append")
+                 if k in counters}
+        if entry:
+            entry["at"] = append["name"]
+            derived["durable_append"] = entry
     return derived
 
 

@@ -23,8 +23,9 @@
 ///                      Combined with --restore, only the journal suffix past
 ///                      the snapshot's step counter is replayed.
 ///   --durable-dir=DIR  run against the segmented durable store in DIR:
-///                      every applied request is fsynced into the active
-///                      segment and every filled segment triggers an
+///                      every applied request is written in place into
+///                      the active (pre-sized) segment and synced, and
+///                      every filled segment triggers an
 ///                      incremental checkpoint. If DIR already holds a
 ///                      store the session is revived from it (full snapshot
 ///                      + delta + at most one segment of replay). Mutually

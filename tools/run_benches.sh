@@ -66,7 +66,7 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
-CORE_BENCHES=(bench_evaluators bench_parity bench_reach_u bench_batch)
+CORE_BENCHES=(bench_evaluators bench_parity bench_reach_u bench_batch bench_recovery)
 if [[ "$WITH_SERVICE" == 1 ]]; then
   CORE_BENCHES+=(bench_service)
 fi
@@ -116,12 +116,18 @@ for bench in "${CORE_BENCHES[@]}"; do
       --benchmark_filter="$soak_filter" --benchmark_repetitions=1
     continue
   fi
+  filter=()
+  if [[ "$bench" == bench_recovery ]]; then
+    # Only the real-disk durable-append latency row; the crash matrix and
+    # the fault campaign are survival checks with their own CI step.
+    filter=(--benchmark_filter=BM_DurableAppendLatency)
+  fi
   # 3 repetitions, aggregates only: the gates and quoted numbers come from
   # the per-benchmark *median*, so a single descheduled measurement window
   # (common on shared hosts) cannot decide a pass/fail.
   "$bin" --benchmark_out="$TMP_DIR/$bench.json" --benchmark_out_format=json \
     --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-    "${EXTRA_FLAGS[@]+"${EXTRA_FLAGS[@]}"}"
+    "${filter[@]+"${filter[@]}"}" "${EXTRA_FLAGS[@]+"${EXTRA_FLAGS[@]}"}"
 done
 
 mkdir -p "$(dirname "$OUT")"
