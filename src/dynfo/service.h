@@ -258,6 +258,9 @@ class EngineService {
   std::unique_ptr<WriterGate> PauseWritersForTest() {
     return std::make_unique<WriterGate>(this);
   }
+  /// Test hook: the writer's live engine. Read it only while no write is in
+  /// flight.
+  const Engine& engine_for_test() const { return guarded_.engine(); }
   /// Test hook: pretend `n` writers are waiting (drives ChooseReadTier).
   void InjectWaitingWritersForTest(size_t n) {
     waiting_writers_.store(n, std::memory_order_relaxed);

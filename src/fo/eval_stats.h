@@ -30,9 +30,13 @@ struct EvalStats {
   uint64_t planner_runs = 0;      ///< plan compilations (once per formula)
   uint64_t plan_cache_hits = 0;   ///< Sat calls served by a cached plan
   uint64_t plan_cache_misses = 0; ///< Sat calls that had to compile
-  // Persistent-index layer.
-  uint64_t indexed_joins = 0;  ///< atom joins served by a persistent index
-  uint64_t index_probes = 0;   ///< per-row index lookups
+  // Persistent-index layer. Indexes exist only for proper, non-empty atom
+  // keys (AtomAccess::ProbesIndex): a full key probes the tuple store and an
+  // empty key scans. index_probes counts one lookup per row of an atom
+  // access on the indexed path, whichever of the three serves it, so it does
+  // not move with the index layout; index_builds counts real constructions.
+  uint64_t indexed_joins = 0;  ///< atom joins on the indexed path
+  uint64_t index_probes = 0;   ///< per-row keyed lookups, membership included
   uint64_t index_builds = 0;   ///< lazy (re)constructions of an index
   // Dense bit-parallel layer.
   uint64_t dense_kernel_launches = 0;  ///< lowered-program executions

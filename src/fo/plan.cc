@@ -528,7 +528,7 @@ DeltaProgram CompileDeltaRemovals(const PlanCompiler& compiler,
 void RegisterPlanIndexes(const Plan& plan, const relational::Structure& structure,
                          AtomicEvalStats* stats) {
   auto ensure = [&](const AtomAccess& access) {
-    if (access.key.empty()) return;
+    if (!access.ProbesIndex()) return;
     bool built = false;
     structure.relation(access.relation_index).EnsureIndex(access.KeyPositions(), &built);
     if (built && stats != nullptr) {

@@ -12,10 +12,12 @@
 ///
 /// Plans also record, per relation atom, the exact set of argument positions
 /// whose values are known before the atom is touched (bound variables and
-/// ground terms — including request parameters). Those position sets become
-/// persistent secondary indexes on the stored relations
+/// ground terms — including request parameters). Proper, non-empty position
+/// sets become persistent secondary indexes on the stored relations
 /// (relational/index.h), registered once at load time and probed on every
-/// execution, so an atom join costs O(matching rows) instead of O(|R|).
+/// execution, so an atom join costs O(matching rows) instead of O(|R|). A
+/// set covering every position probes the tuple store itself, and an empty
+/// one scans the relation (AtomAccess::ProbesIndex).
 ///
 /// The index layer is gated by EvalOptions::use_indexes; with it off, atom
 /// joins fall back to a per-join hash build side. Either way the result is
@@ -75,6 +77,14 @@ struct AtomAccess {
 
   /// The sorted position subset to index on (extracted from `key`).
   std::vector<int> KeyPositions() const;
+
+  /// True when the key is a proper, non-empty subset of the positions: only
+  /// then does the access probe a persistent index. A key over every position
+  /// is a membership check on the tuple store (Relation::Contains) and an
+  /// empty key visits every tuple, so neither needs an index.
+  bool ProbesIndex() const {
+    return !key.empty() && static_cast<int>(key.size()) < arity;
+  }
 };
 
 /// One step of a compiled conjunction, in execution order: the greedy
@@ -276,7 +286,8 @@ std::vector<relational::Tuple> ExecuteDeltaRemovals(const DeltaProgram& program,
                                                     AtomicEvalStats* stats);
 
 /// Registers every index the plan will probe on the relations of
-/// `structure`, so the first execution pays no index builds. Increments
+/// `structure` (accesses with AtomAccess::ProbesIndex), so the first
+/// execution pays no index builds. Increments
 /// stats->index_builds per index actually constructed (when non-null).
 void RegisterPlanIndexes(const Plan& plan, const relational::Structure& structure,
                          AtomicEvalStats* stats = nullptr);

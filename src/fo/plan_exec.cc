@@ -1,11 +1,12 @@
 /// \file plan_exec.cc
 /// Executes compiled plans (fo/plan.h). Atom joins probe persistent indexes
-/// in place of scans and per-join hash builds, gated by
-/// EvalOptions::use_indexes.
+/// (or, for a key over every position, the tuple store) in place of scans
+/// and per-join hash builds, gated by EvalOptions::use_indexes.
 
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "core/cancel.h"
@@ -61,9 +62,48 @@ bool DupChecksPass(const AtomAccess& access, const relational::Tuple& t) {
   return true;
 }
 
+/// One atom access's matching tuples per key: the bucket of the persistent
+/// index on a proper, non-empty key; the key itself, when it pins every
+/// position and the tuple store holds it (no index — the store is already a
+/// hash set); every tuple, when the key is empty. Callers apply the
+/// DupChecks.
+class AtomMatches {
+ public:
+  AtomMatches(const AtomAccess& access, const EvalContext& ctx,
+              AtomicEvalStats* stats)
+      : rel_(ctx.structure->relation(access.relation_index)) {
+    DYNFO_CHECK(rel_.arity() == access.arity)
+        << "atom arity mismatch for " << access.relation_name;
+    if (access.ProbesIndex()) {
+      bool built = false;
+      index_ = &rel_.EnsureIndex(access.KeyPositions(), &built);
+      if (built) Count(stats->index_builds);
+    }
+  }
+
+  /// `key` holds the key parts' values in position order.
+  template <typename Fn>
+  void ForEach(const relational::Tuple& key, Fn&& fn) const {
+    if (index_ != nullptr) {
+      const std::vector<relational::Tuple>* bucket = index_->Find(key);
+      if (bucket == nullptr) return;
+      for (const relational::Tuple& t : *bucket) fn(t);
+    } else if (key.size() == rel_.arity()) {
+      // Key parts are sorted by position, so a full key is the tuple itself.
+      if (rel_.Contains(key)) fn(key);
+    } else {
+      for (const relational::Tuple& t : rel_) fn(t);
+    }
+  }
+
+ private:
+  const relational::Relation& rel_;
+  const relational::TupleIndex* index_ = nullptr;
+};
+
 /// Standalone atom scan (key parts are all ground): the kAtomScan node and
-/// the build side of the index-less join fallback. Probes the ground-key
-/// index when enabled.
+/// the build side of the index-less join fallback. With indexes enabled a
+/// non-empty key is looked up through AtomMatches.
 NamedRelation ExecuteScan(const AtomAccess& access, const EvalContext& ctx,
                           AtomicEvalStats* stats) {
   const relational::Relation& rel = ctx.structure->relation(access.relation_index);
@@ -81,16 +121,10 @@ NamedRelation ExecuteScan(const AtomAccess& access, const EvalContext& ctx,
   };
 
   if (ctx.options.use_indexes && !access.key.empty()) {
-    bool built = false;
-    const relational::TupleIndex& index = rel.EnsureIndex(access.KeyPositions(), &built);
-    if (built) Count(stats->index_builds);
     relational::Tuple key;
     for (relational::Element value : ground) key = key.Append(value);
     Count(stats->index_probes);
-    const std::vector<relational::Tuple>* bucket = index.Find(key);
-    if (bucket != nullptr) {
-      for (const relational::Tuple& t : *bucket) emit(t);
-    }
+    AtomMatches(access, ctx, stats).ForEach(key, emit);
     ctx.Charge(out.size(), out.width());
     return out;
   }
@@ -117,13 +151,8 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
   }
 
   const AtomAccess& access = step.probe;
-  const relational::Relation& rel = ctx.structure->relation(access.relation_index);
-  DYNFO_CHECK(rel.arity() == access.arity)
-      << "atom arity mismatch for " << access.relation_name;
   Count(stats->indexed_joins);
-  bool built = false;
-  const relational::TupleIndex& index = rel.EnsureIndex(access.KeyPositions(), &built);
-  if (built) Count(stats->index_builds);
+  const AtomMatches matches(access, ctx, stats);
   const std::vector<relational::Element> ground = ResolveGroundKey(access, ctx);
 
   std::vector<std::string> columns = acc.columns();
@@ -139,14 +168,12 @@ NamedRelation ExecuteIndexJoin(const NamedRelation& acc, const ConjStep& step,
       const int column = access.key[i].source_column;
       key = key.Append(column >= 0 ? row[column] : ground[i]);
     }
-    const std::vector<relational::Tuple>* bucket = index.Find(key);
-    if (bucket == nullptr) continue;
-    for (const relational::Tuple& t : *bucket) {
-      if (!DupChecksPass(access, t)) continue;
+    matches.ForEach(key, [&](const relational::Tuple& t) {
+      if (!DupChecksPass(access, t)) return;
       Row extended = row;
       for (int p : access.extend_positions) extended.push_back(t[p]);
       out.AddRow(std::move(extended));
-    }
+    });
   }
   ctx.Charge(out.size(), out.width());
   return out;
@@ -235,9 +262,9 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
 
   struct BranchState {
     const ExtendBranch* branch;
-    const relational::TupleIndex* index = nullptr;  // atom branches
-    std::vector<relational::Element> ground;        // atom branches
-    relational::Element eq_value = 0;               // ground eq branches
+    std::optional<AtomMatches> matches;       // atom branches
+    std::vector<relational::Element> ground;  // atom branches
+    relational::Element eq_value = 0;         // ground eq branches
   };
   std::vector<BranchState> states;
   states.reserve(step.union_branches.size());
@@ -245,13 +272,7 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
     BranchState state;
     state.branch = &branch;
     if (branch.is_atom) {
-      const relational::Relation& rel =
-          ctx.structure->relation(branch.atom.relation_index);
-      DYNFO_CHECK(rel.arity() == branch.atom.arity)
-          << "atom arity mismatch for " << branch.atom.relation_name;
-      bool built = false;
-      state.index = &rel.EnsureIndex(branch.atom.KeyPositions(), &built);
-      if (built) Count(stats->index_builds);
+      state.matches.emplace(branch.atom, ctx, stats);
       state.ground = ResolveGroundKey(branch.atom, ctx);
     } else if (!branch.eq_from_column) {
       std::optional<relational::Element> value = GroundTerm(branch.eq_term, ctx);
@@ -285,12 +306,9 @@ NamedRelation ExecuteUnionExtend(const NamedRelation& acc, const ConjStep& step,
         const int column = access.key[i].source_column;
         key = key.Append(column >= 0 ? row[column] : state.ground[i]);
       }
-      const std::vector<relational::Tuple>* bucket = state.index->Find(key);
-      if (bucket == nullptr) continue;
-      for (const relational::Tuple& t : *bucket) {
-        if (!DupChecksPass(access, t)) continue;
-        values.push_back(t[access.extend_positions[0]]);
-      }
+      state.matches->ForEach(key, [&](const relational::Tuple& t) {
+        if (DupChecksPass(access, t)) values.push_back(t[access.extend_positions[0]]);
+      });
     }
     std::sort(values.begin(), values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());

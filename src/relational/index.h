@@ -3,7 +3,10 @@
 ///
 /// A TupleIndex groups a relation's tuples by their projection onto a fixed
 /// subset of argument positions (the "key"). Compiled update plans register
-/// one index per (relation, bound-position-set) they probe; the owning
+/// one index per (relation, bound-position-set) they probe, for proper,
+/// non-empty position sets only: a key over every position is answered by
+/// the tuple store (Relation::Contains), which is already a hash set, and an
+/// empty key by a scan, so neither would gain from a duplicate. The owning
 /// Relation maintains every registered index incrementally — O(1) expected
 /// per Insert/Erase — so a join's build side is never reconstructed per
 /// update. This is what turns the per-update cost of the hot Apply path from

@@ -56,9 +56,11 @@ enum class RelationBackend : uint8_t { kHash, kDense };
 ///
 /// A relation additionally owns persistent secondary indexes (see index.h),
 /// registered lazily by compiled query plans through EnsureIndex() and
-/// maintained incrementally by every Insert/Erase/Clear. Indexes are derived
-/// state: they never affect equality, are dropped (and lazily rebuilt) on
-/// copy, and follow the tuples on move.
+/// maintained incrementally by every Insert/Erase/Clear. Plans ask only for
+/// proper, non-empty keys; a fully bound atom probes Contains() instead.
+/// Indexes are derived state: they never affect equality, are dropped (and
+/// lazily rebuilt) on copy, and follow the tuples on move — so a published
+/// copy that is only probed on full keys never builds one.
 ///
 /// Thread-safety: concurrent *readers* — including concurrent EnsureIndex
 /// calls, which synchronize on an internal mutex, and concurrent copies,
@@ -332,6 +334,17 @@ class Relation {
   size_t num_indexes() const {
     std::lock_guard<std::mutex> lock(index_mutex_);
     return indexes_.size();
+  }
+
+  /// The key positions of every registered index, in registration order.
+  std::vector<std::vector<int>> IndexKeys() const {
+    std::lock_guard<std::mutex> lock(index_mutex_);
+    std::vector<std::vector<int>> keys;
+    keys.reserve(indexes_.size());
+    for (const std::unique_ptr<TupleIndex>& index : indexes_) {
+      keys.push_back(index->positions());
+    }
+    return keys;
   }
 
   /// Discards every secondary index (tuples untouched). The recovery path

@@ -141,6 +141,97 @@ TEST(PlanEquivalence, ParameterizedPlanReplaysAcrossParameterValues) {
   }
 }
 
+TEST(PlanEquivalence, FullAndEmptyKeyAtomsMatchNaiveOnSharedBases) {
+  // The access shapes that take no index (DESIGN.md §9): a key over every
+  // position probes the tuple store, an empty key scans the relation. Each
+  // runs on a copy-on-write copy whose base is shared and whose overlay is
+  // not empty, so membership probes and scans take the overlay branch.
+  using fo::Formula;
+  using fo::Term;
+  auto vocab = std::make_shared<relational::Vocabulary>();
+  vocab->AddRelation("PV", 3);
+  vocab->AddRelation("E", 2);
+  constexpr size_t kN = 5;
+  relational::Structure original(vocab, kN);
+  core::Rng rng(2024);
+  testing::RandomizeStructure(&original, &rng, 0.4);
+  relational::Structure structure = original;
+  for (int round = 0; round < 12; ++round) {
+    const auto a = static_cast<relational::Element>(rng.Below(kN));
+    const auto b = static_cast<relational::Element>(rng.Below(kN));
+    structure.relation("PV").Insert({a, b, a});
+    structure.relation("PV").Erase({b, a, b});
+    structure.relation("E").Insert({a, a});
+    structure.relation("E").Erase({b, b});
+  }
+  for (const char* name : {"PV", "E"}) {
+    ASSERT_TRUE(structure.relation(name).SharesStorageWith(original.relation(name)))
+        << name;
+    ASSERT_GT(structure.relation(name).OverlaySize(), 0u) << name;
+  }
+
+  const Term x = Term::Var("x");
+  const Term u = Term::Var("u");
+  const Term w = Term::Var("w");
+  const Term y = Term::Var("y");
+  const Term p0 = Term::Param(0);
+  const Term p1 = Term::Param(1);
+  struct Case {
+    const char* shape;
+    fo::FormulaPtr formula;
+    std::vector<std::string> variables;
+  };
+  const std::vector<Case> cases = {
+      // A fully ground atom scan: REACH_u's query P(s,t).
+      {"ground PV($0,$1,$0)",
+       Formula::Or({Formula::Eq(p0, p1), Formula::Atom("PV", {p0, p1, p0})}),
+       {}},
+      // A fully bound atom with a repeated variable once x and u are bound.
+      {"bound PV(x,u,x)",
+       Formula::And({Formula::Atom("E", {x, u}), Formula::Atom("PV", {x, u, x})}),
+       {"x", "u"}},
+      {"bound PV(x,$0,x)",
+       Formula::And({Formula::Atom("E", {p0, x}), Formula::Atom("PV", {x, p0, x})}),
+       {"x"}},
+      // An unkeyed join step with a dup check, then a keyed one.
+      {"unkeyed E(u,u)",
+       Formula::And({Formula::Atom("E", {u, u}), Formula::Atom("PV", {u, w, u})}),
+       {"u", "w"}},
+      // An unkeyed union-extend branch with a dup check.
+      {"unkeyed branch E(y,y)",
+       Formula::And({Formula::Atom("PV", {p0, p1, x}),
+                     Formula::Or({Formula::Atom("E", {y, y}),
+                                  Formula::Atom("E", {x, y})})}),
+       {"x", "y"}},
+  };
+
+  for (const Case& c : cases) {
+    for (const GateCombo& combo : kGateCombos) {
+      fo::AlgebraEvaluator evaluator;
+      for (relational::Element a = 0; a < kN; ++a) {
+        for (relational::Element b = 0; b < kN; ++b) {
+          const relational::Relation expected =
+              fo::NaiveEvaluator::EvaluateAsRelation(
+                  c.formula, c.variables, fo::EvalContext(structure, {a, b}));
+          fo::EvalContext ctx(structure, {a, b}, GatedOptions(combo));
+          ASSERT_EQ(evaluator.EvaluateAsRelation(c.formula, c.variables, ctx),
+                    expected)
+              << c.shape << " under " << combo.name << " params (" << a << ", "
+              << b << ")";
+        }
+      }
+    }
+  }
+  // Only proper, non-empty keys were indexed along the way.
+  for (const char* name : {"PV", "E"}) {
+    const relational::Relation& relation = structure.relation(name);
+    for (const std::vector<int>& key : relation.IndexKeys()) {
+      EXPECT_FALSE(key.empty()) << name;
+      EXPECT_LT(static_cast<int>(key.size()), relation.arity()) << name;
+    }
+  }
+}
+
 TEST(PlanEquivalence, PlanCacheWarmsUpToFullHitRate) {
   using fo::Formula;
   using fo::Term;

@@ -3,7 +3,9 @@
 /// pin SnapshotView versions while writers commit, Restore() replaces the
 /// state, and ReloadProgram() recompiles. The assertions are weak on
 /// purpose — the point is that every interleaving TSan can provoke is
-/// data-race-free and every pinned version stays immutable.
+/// data-race-free and every pinned version stays immutable. The index
+/// contract tests at the end also check that reads of a published REACH_u
+/// version build no index, racing or not.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,9 @@
 #include <vector>
 
 #include "dynfo/service.h"
+#include "dynfo/workload.h"
 #include "programs/parity.h"
+#include "programs/reach_u.h"
 #include "relational/request.h"
 
 namespace dynfo {
@@ -221,6 +225,87 @@ TEST(ServiceConcurrencyTest, PinsRaceReclamation) {
 
   EXPECT_EQ(service.retained_versions(), 1u);
   EXPECT_GT(service.stats().snapshots_reclaimed, 0u);
+}
+
+// The index contract (DESIGN.md §9): plans index only proper, non-empty key
+// subsets of an atom. REACH_u's query P(s,t) = s = t | PV(s,t,s) pins every
+// position of PV, so it probes the tuple store, and a published version —
+// whose copy-on-write relations carry no indexes — answers it without
+// building one.
+
+constexpr size_t kReachUniverse = 12;
+
+relational::RequestSequence ReachUWrites(uint64_t seed) {
+  dyn::GraphWorkloadOptions options;
+  options.num_requests = 240;
+  options.insert_fraction = 0.55;
+  options.set_fraction = 0.05;
+  options.undirected = true;
+  options.seed = seed;
+  return dyn::MakeGraphWorkload(*programs::ReachUInputVocabulary(), "E",
+                                kReachUniverse, options);
+}
+
+/// Every relation of the pinned version is index-free after a query.
+void ExpectIndexFree(const EngineService& service,
+                     const EngineService::ReadPin& pin) {
+  service.QueryBool(pin);
+  const relational::Structure& data = pin.data();
+  for (int r = 0; r < data.vocabulary().num_relations(); ++r) {
+    ASSERT_EQ(data.relation(r).num_indexes(), 0u)
+        << data.vocabulary().relation(r).name << " at version "
+        << pin.version();
+  }
+}
+
+/// Every index the writer maintains on PV and E has a proper, non-empty key.
+void ExpectProperIndexKeys(const dyn::Engine& engine) {
+  for (const char* name : {"PV", "E"}) {
+    const relational::Relation& relation = engine.data().relation(name);
+    for (const std::vector<int>& key : relation.IndexKeys()) {
+      EXPECT_FALSE(key.empty()) << name << " has an empty-key index";
+      EXPECT_LT(static_cast<int>(key.size()), relation.arity())
+          << name << " has a full-key index";
+    }
+  }
+  EXPECT_FALSE(engine.data().relation("PV").IndexKeys().empty())
+      << "no PV index was registered; the key check above saw nothing";
+}
+
+TEST(ServiceIndexContractTest, ReachUReadsBuildNoIndexes) {
+  EngineService service(programs::MakeReachUProgram(), kReachUniverse,
+                        ConcurrencyOptions());
+  core::Result<EngineService::SessionId> session = service.OpenSession();
+  ASSERT_TRUE(session.ok());
+  for (const Request& request : ReachUWrites(16)) {
+    ASSERT_TRUE(service.Apply(session.value(), request).ok());
+    ExpectIndexFree(service, service.PinVersion());
+  }
+  ExpectProperIndexKeys(service.engine_for_test());
+}
+
+TEST(ServiceIndexContractTest, ReachUReadsRacingWritesBuildNoIndexes) {
+  EngineService service(programs::MakeReachUProgram(), kReachUniverse,
+                        ConcurrencyOptions());
+  core::Result<EngineService::SessionId> session = service.OpenSession();
+  ASSERT_TRUE(session.ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> reads{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      ExpectIndexFree(service, service.PinVersion());
+      reads.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (const Request& request : ReachUWrites(17)) {
+    ASSERT_TRUE(service.Apply(session.value(), request).ok());
+  }
+  while (reads.load(std::memory_order_acquire) == 0) std::this_thread::yield();
+  stop.store(true, std::memory_order_release);
+  reader.join();
+
+  ExpectProperIndexKeys(service.engine_for_test());
 }
 
 }  // namespace
